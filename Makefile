@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench bench-json bench-compare cover vet vet-json fmt examples
+.PHONY: build test test-adversary test-faults test-keyspace test-live test-benchmark fuzz-smoke bench bench-json bench-compare cover vet vet-json fmt examples
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,21 @@ test-keyspace:
 # a wedged cluster from hanging CI.
 test-live:
 	$(GO) test -race -timeout 120s -run 'Estimator|Tuner|TestRun|TestConfig|TestScenarioLive|TestGridRuntimes' ./internal/live ./internal/engine
+
+# The benchmark module (benchmark/, a Go module of its own that the root
+# `go test ./...` does not reach): vet and unit tests, then a short
+# untraced run of each workload, failing on a non-zero exit or a wrong
+# verdict ("correct":false). The build lands in .bench_build/.
+BENCH_WORKLOADS ?= grid-verified zipf-migrate
+test-benchmark:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		echo "== benchmark $$w"; \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0); \
+		echo "$$out" | tail -n 1; \
+		if echo "$$out" | grep -q '"correct":false'; then echo "benchmark $$w: wrong verdict"; exit 1; fi; \
+	done
 
 # A bounded differential-fuzz pass over the linearizability checker: the
 # island-decomposed search (sequential and parallel) against the textbook

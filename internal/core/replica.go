@@ -90,16 +90,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// entry is one buffered operation in To_Execute: ⟨op, arg, ts⟩.
-type entry struct {
-	ts   model.Timestamp
-	kind spec.OpKind
-	arg  spec.Value
+// Waits are Algorithm 1's four wait durations, each floored at 0.
+type Waits struct {
+	SelfAdd          model.Time // d-u
+	Execute          model.Time // u+ε
+	MutatorResponse  model.Time // ε+X
+	AccessorResponse model.Time // d+ε-X
 }
 
-// opMsg is the broadcast payload for MOP/OOP operations.
-type opMsg struct {
-	Entry entry
+// Waits derives the four waits from Params and X, applying the Tuning
+// overrides. A wait tuned negative clamps to 0, as sim.Env.SetTimerAfter
+// would, so FIFO due times match actual fire times.
+func (c Config) Waits() Waits {
+	p, t := c.Params, c.Tuning
+	return Waits{
+		SelfAdd:          max(0, t.SelfAddDelay.Or(p.D-p.U)),
+		Execute:          max(0, t.ExecuteWait.Or(p.U+p.Epsilon)),
+		MutatorResponse:  max(0, t.MutatorResponse.Or(p.Epsilon+c.X)),
+		AccessorResponse: max(0, t.AccessorResponse.Or(p.D+p.Epsilon-c.X)),
+	}
+}
+
+// Entry is one buffered operation in To_Execute, ⟨op, arg, ts⟩, and the
+// payload a MOP/OOP invocation broadcasts. Its fields are exported so a
+// wire transport (the live runtime's gob framing) can carry it.
+type Entry struct {
+	TS   model.Timestamp
+	Kind spec.OpKind
+	Arg  spec.Value
 }
 
 // syncReq solicits a full state copy from serving peers; a recovering
@@ -121,12 +139,13 @@ type bufferedInvoke struct {
 	arg  spec.Value
 }
 
-// Timer tick payloads. Each timer class fires after a duration that is
-// constant for a given replica (d-u, u+ε, ε+X, d+ε-X respectively), so
-// timers of one class fire in arming order; the replica keeps the timer's
-// data in a per-class FIFO and the payload itself is a zero-size marker —
-// boxing a zero-size value into the simulator's `any` payload does not
-// allocate, which keeps the per-operation timer traffic allocation-free.
+// Timer tick payloads. Each timer class fires after its own wait (d-u,
+// u+ε, ε+X, d+ε-X respectively) and never before the class's previously
+// armed timer (fifo.arm), so timers of one class fire in arming order; the
+// replica keeps the timer's data in a per-class FIFO and the payload itself
+// is a zero-size marker — boxing a zero-size value into the simulator's
+// `any` payload does not allocate, which keeps the per-operation timer
+// traffic allocation-free.
 type (
 	// selfAddTick fires d-u after a local MOP/OOP invocation: the invoker
 	// inserts its own operation into its queue, pretending it arrived via
@@ -153,8 +172,8 @@ type accessorPending struct {
 // fifo is a head-indexed queue; the backing array is reused once drained,
 // so steady-state traffic does not allocate. Each entry carries the local-
 // clock time its timer is due: the order-based payload pairing is only
-// sound while a class's delay stays constant and nothing cancels its
-// timers, so pop asserts the invariant instead of trusting it.
+// sound while the class's timers fire in arming order and none is
+// canceled, so pop asserts the invariant instead of trusting it.
 type fifo[T any] struct {
 	buf  []timed[T]
 	head int
@@ -165,7 +184,19 @@ type timed[T any] struct {
 	v   T
 }
 
-func (f *fifo[T]) push(due model.Time, v T) { f.buf = append(f.buf, timed[T]{due: due, v: v}) }
+// arm queues v and sets its timer wait after now — or, when a retune has
+// shortened the class's wait since (the live runtime's waits track its
+// estimator; the simulator's are constant), at the class's last armed due
+// time, so the new timer cannot overtake queued ones.
+func (f *fifo[T]) arm(env sim.Env, wait model.Time, v T, tick any) {
+	now := env.ClockTime()
+	due := now + wait
+	if n := len(f.buf); n > f.head && f.buf[n-1].due > due {
+		due = f.buf[n-1].due
+	}
+	f.buf = append(f.buf, timed[T]{due: due, v: v})
+	env.SetTimerAfter(due-now, tick)
+}
 
 // reset drops every queued entry (and its payload references), keeping the
 // backing array. Used when a crash wipes the replica's volatile state — the
@@ -183,7 +214,7 @@ func (f *fifo[T]) pop(now model.Time) T {
 	it := f.buf[f.head]
 	if it.due != now {
 		panic(fmt.Sprintf("core: timer FIFO desync: entry due at %s popped at %s "+
-			"(a timer class's delay varied, or one of its timers was canceled)", it.due, now))
+			"(a timer class fired out of arming order, or one of its timers was canceled)", it.due, now))
 	}
 	f.buf[f.head] = timed[T]{} // drop payload references
 	f.head++
@@ -197,14 +228,14 @@ func (f *fifo[T]) pop(now model.Time) T {
 // execHeap is the priority queue To_Execute, keyed by timestamp. It is a
 // hand-rolled binary heap: container/heap's `any` interface would box
 // every entry on Push and Pop, right on the simulator's hot path.
-type execHeap []entry
+type execHeap []Entry
 
-func (h *execHeap) pushEntry(e entry) {
+func (h *execHeap) pushEntry(e Entry) {
 	q := append(*h, e)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q[i].ts.Less(q[parent].ts) {
+		if !q[i].TS.Less(q[parent].TS) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -213,12 +244,12 @@ func (h *execHeap) pushEntry(e entry) {
 	*h = q
 }
 
-func (h *execHeap) popMin() entry {
+func (h *execHeap) popMin() Entry {
 	q := *h
 	n := len(q) - 1
 	top := q[0]
 	q[0] = q[n]
-	q[n] = entry{}
+	q[n] = Entry{}
 	q = q[:n]
 	*h = q
 	i := 0
@@ -228,10 +259,10 @@ func (h *execHeap) popMin() entry {
 			break
 		}
 		least := l
-		if r := l + 1; r < n && q[r].ts.Less(q[l].ts) {
+		if r := l + 1; r < n && q[r].TS.Less(q[l].TS) {
 			least = r
 		}
-		if !q[least].ts.Less(q[i].ts) {
+		if !q[least].TS.Less(q[i].TS) {
 			break
 		}
 		q[i], q[least] = q[least], q[i]
@@ -240,9 +271,9 @@ func (h *execHeap) popMin() entry {
 	return top
 }
 
-func (h execHeap) peekMin() (entry, bool) {
+func (h execHeap) peekMin() (Entry, bool) {
 	if len(h) == 0 {
-		return entry{}, false
+		return Entry{}, false
 	}
 	return h[0], true
 }
@@ -250,6 +281,7 @@ func (h execHeap) peekMin() (entry, bool) {
 // Replica is one process of Algorithm 1. It implements sim.Process.
 type Replica struct {
 	cfg       Config
+	waits     Waits
 	dt        spec.DataType
 	local     spec.State
 	toExecute execHeap
@@ -259,7 +291,7 @@ type Replica struct {
 	// applied counts operations executed on the local copy (diagnostics).
 	applied int
 	// Per-timer-class FIFOs; see the *Tick types.
-	selfQ fifo[entry]
+	selfQ fifo[Entry]
 	execQ fifo[model.Timestamp]
 	mutQ  fifo[history.OpID]
 	accQ  fifo[accessorPending]
@@ -283,6 +315,7 @@ var (
 func NewReplica(cfg Config, dt spec.DataType) *Replica {
 	r := &Replica{
 		cfg:        cfg,
+		waits:      cfg.Waits(),
 		dt:         dt,
 		local:      dt.InitialState(),
 		pendingOOP: make(map[model.Timestamp]history.OpID),
@@ -343,14 +376,10 @@ func (r *Replica) Applied() int { return r.applied }
 // LocalStateEncoding returns the canonical encoding of the local copy.
 func (r *Replica) LocalStateEncoding() string { return r.dt.EncodeState(r.local) }
 
-// clampWait floors a (possibly tuned-negative) wait at 0, mirroring
-// sim.Env.SetTimerAfter's clamp so FIFO due times match actual fire times.
-func clampWait(w model.Time) model.Time {
-	if w < 0 {
-		return 0
-	}
-	return w
-}
+// SetWaits replaces the replica's waits (retuning, which the live runtime
+// does as its estimator moves). Timers already armed keep their due times.
+// Like every handler, it must not run concurrently with another.
+func (r *Replica) SetWaits(w Waits) { r.waits = w }
 
 // OnInvoke implements sim.Process.
 func (r *Replica) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
@@ -363,45 +392,37 @@ func (r *Replica) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg s
 		}
 		return
 	}
-	p := r.cfg.Params
 	switch r.dt.Class(kind) {
 	case spec.ClassPureAccessor:
 		// Timestamp ⟨clock - X, pid⟩: pretend to be invoked X earlier.
 		ts := model.Timestamp{Clock: env.ClockTime() - r.cfg.X, Proc: env.Self()}
-		wait := clampWait(r.cfg.Tuning.AccessorResponse.Or(p.D + p.Epsilon - r.cfg.X))
-		r.accQ.push(env.ClockTime()+wait, accessorPending{id: id, kind: kind, arg: arg, ts: ts})
-		env.SetTimerAfter(wait, accessorRespondTick{})
+		r.accQ.arm(env, r.waits.AccessorResponse, accessorPending{id: id, kind: kind, arg: arg, ts: ts}, accessorRespondTick{})
 	case spec.ClassPureMutator:
 		r.stampAndBroadcast(env, kind, arg)
-		wait := clampWait(r.cfg.Tuning.MutatorResponse.Or(p.Epsilon + r.cfg.X))
-		r.mutQ.push(env.ClockTime()+wait, id)
-		env.SetTimerAfter(wait, mutatorRespondTick{})
+		r.mutQ.arm(env, r.waits.MutatorResponse, id, mutatorRespondTick{})
 	default: // OOP
 		e := r.stampAndBroadcast(env, kind, arg)
-		r.pendingOOP[e.ts] = id
+		r.pendingOOP[e.TS] = id
 	}
 }
 
 // stampAndBroadcast stamps a MOP/OOP operation, broadcasts it, and starts
 // the d-u self-insertion timer.
-func (r *Replica) stampAndBroadcast(env sim.Env, kind spec.OpKind, arg spec.Value) entry {
-	p := r.cfg.Params
-	e := entry{
-		ts:   model.Timestamp{Clock: env.ClockTime(), Proc: env.Self()},
-		kind: kind,
-		arg:  arg,
+func (r *Replica) stampAndBroadcast(env sim.Env, kind spec.OpKind, arg spec.Value) Entry {
+	e := Entry{
+		TS:   model.Timestamp{Clock: env.ClockTime(), Proc: env.Self()},
+		Kind: kind,
+		Arg:  arg,
 	}
-	env.Broadcast(opMsg{Entry: e})
-	wait := clampWait(r.cfg.Tuning.SelfAddDelay.Or(p.D - p.U))
-	r.selfQ.push(env.ClockTime()+wait, e)
-	env.SetTimerAfter(wait, selfAddTick{})
+	env.Broadcast(e)
+	r.selfQ.arm(env, r.waits.SelfAdd, e, selfAddTick{})
 	return e
 }
 
 // OnMessage implements sim.Process.
 func (r *Replica) OnMessage(env sim.Env, from model.ProcessID, payload any) {
 	switch m := payload.(type) {
-	case opMsg:
+	case Entry:
 		// Only a serving replica buffers operations: a syncing one cannot
 		// tell whether its eventual donor state already includes this entry,
 		// so it drops it — any resulting gap surfaces as divergence in the
@@ -409,7 +430,7 @@ func (r *Replica) OnMessage(env sim.Env, from model.ProcessID, payload any) {
 		if !r.life.CanServe() {
 			return
 		}
-		r.enqueue(env, m.Entry)
+		r.enqueue(env, m)
 	case syncReq:
 		if r.life.CanServe() {
 			env.Send(from, syncResp{State: r.local})
@@ -438,12 +459,9 @@ func (r *Replica) drainJoinBuf(env sim.Env) {
 }
 
 // enqueue adds an entry to To_Execute and arms its u+ε execution timer.
-func (r *Replica) enqueue(env sim.Env, e entry) {
-	p := r.cfg.Params
+func (r *Replica) enqueue(env sim.Env, e Entry) {
 	r.toExecute.pushEntry(e)
-	wait := clampWait(r.cfg.Tuning.ExecuteWait.Or(p.U + p.Epsilon))
-	r.execQ.push(env.ClockTime()+wait, e.ts)
-	env.SetTimerAfter(wait, executeTick{})
+	r.execQ.arm(env, r.waits.Execute, e.TS, executeTick{})
 }
 
 // OnTimer implements sim.Process.
@@ -475,16 +493,16 @@ func (r *Replica) executeUpTo(env sim.Env, ts model.Timestamp, inclusive bool) {
 		if !ok {
 			return
 		}
-		cmp := e.ts.Compare(ts)
+		cmp := e.TS.Compare(ts)
 		if cmp > 0 || (!inclusive && cmp == 0) {
 			return
 		}
 		r.toExecute.popMin()
-		next, ret := r.dt.Apply(r.local, e.kind, e.arg)
+		next, ret := r.dt.Apply(r.local, e.Kind, e.Arg)
 		r.local = next
 		r.applied++
-		if id, mine := r.pendingOOP[e.ts]; mine && e.ts.Proc == env.Self() {
-			delete(r.pendingOOP, e.ts)
+		if id, mine := r.pendingOOP[e.TS]; mine && e.TS.Proc == env.Self() {
+			delete(r.pendingOOP, e.TS)
 			env.Respond(id, ret)
 		}
 	}

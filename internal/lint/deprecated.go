@@ -12,9 +12,8 @@ import (
 // carries a standard "Deprecated:" paragraph from outside the package
 // that declares it. The declaring package itself is exempt — the facade
 // keeps the Config/NewCluster/RenderTable shims alive and bridges them
-// onto the Scenario API, and workload folds its retired RunOptions
-// checker knobs into check.Options — and test files are never loaded, so
-// the shims' regression tests keep working. Everything else (cmd tools,
+// onto the Scenario API — and test files are never loaded, so the shims'
+// regression tests keep working. Everything else (cmd tools,
 // examples, new subsystems) must use the replacement named in the
 // deprecation note.
 var Deprecated = &Analyzer{
@@ -73,8 +72,7 @@ func (p *Program) deprecatedObjects() map[types.Object]string {
 								record(pkg, s.Name, declNote)
 							}
 							// Struct fields carry their own Deprecated:
-							// paragraphs (option-surface shims like the old
-							// RunOptions checker knobs); index them so
+							// paragraphs (option-surface shims); index them so
 							// selector and composite-literal references are
 							// policed like top-level symbols.
 							if st, ok := s.Type.(*ast.StructType); ok {

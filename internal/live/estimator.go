@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"timebounds/internal/core"
 	"timebounds/internal/model"
 )
 
@@ -179,21 +180,10 @@ func optimalSkew(n int, u model.Time) model.Time {
 	return u * model.Time(n-1) / model.Time(n)
 }
 
-// Waits are Algorithm 1's four tuned delays, derived from an Estimate
-// exactly as the simulator derives them from the true (u, d, ε):
-// self-add d−u, execute u+ε, mutator response ε+X, accessor response
-// d+ε−X.
-type Waits struct {
-	SelfAdd          model.Time
-	Execute          model.Time
-	MutatorResponse  model.Time
-	AccessorResponse model.Time
-}
-
-// Tuner turns estimator snapshots into the waits live replicas consult,
+// Tuner turns estimator snapshots into Algorithm 1's waits, derived by
+// core exactly as the simulator derives them from the true (u, d, ε),
 // optionally scaled below the safe envelope to reproduce the premature-
-// tuning dichotomy. Apply is called by the retuner loop; Waits by
-// replicas on every arm — both are safe for concurrent use.
+// tuning dichotomy. It is safe for concurrent use.
 type Tuner struct {
 	mu      sync.Mutex
 	x       model.Time
@@ -201,7 +191,7 @@ type Tuner struct {
 	applied bool
 	cur     Estimate
 	peak    Estimate
-	waits   Waits
+	waits   core.Waits
 	retunes int
 }
 
@@ -215,49 +205,31 @@ func NewTuner(x model.Time, scale float64) *Tuner {
 	return &Tuner{x: x, scale: scale}
 }
 
-// Apply installs a new estimate, recomputing the waits. Re-applying an
-// unchanged envelope is a no-op; a changed one after the first install
-// counts as a retune.
-func (t *Tuner) Apply(e Estimate) {
+// Apply installs a new estimate, recomputing the waits, and reports
+// whether the envelope changed. Re-applying an unchanged envelope is a
+// no-op; a changed one after the first install counts as a retune.
+func (t *Tuner) Apply(e Estimate) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.applied && e.D == t.cur.D && e.U == t.cur.U && e.Epsilon == t.cur.Epsilon {
-		return
+		return false
 	}
 	if t.applied {
 		t.retunes++
 	}
 	t.applied = true
 	t.cur = e
-	if e.D > t.peak.D {
-		t.peak.D = e.D
-	}
-	if e.U > t.peak.U {
-		t.peak.U = e.U
-	}
-	if e.Epsilon > t.peak.Epsilon {
-		t.peak.Epsilon = e.Epsilon
-	}
-	d := t.scaled(e.D)
-	u := t.scaled(e.U)
-	eps := t.scaled(e.Epsilon)
-	t.waits = Waits{
-		SelfAdd:          maxTime(0, d-u),
-		Execute:          u + eps,
-		MutatorResponse:  eps + t.x,
-		AccessorResponse: maxTime(0, d+eps-t.x),
-	}
-}
-
-func (t *Tuner) scaled(d model.Time) model.Time {
-	if t.scale == 1 {
-		return d
-	}
-	return model.Time(float64(d) * t.scale)
+	t.peak.D = max(t.peak.D, e.D)
+	t.peak.U = max(t.peak.U, e.U)
+	t.peak.Epsilon = max(t.peak.Epsilon, e.Epsilon)
+	scaled := func(d model.Time) model.Time { return model.Time(float64(d) * t.scale) }
+	p := model.Params{D: scaled(e.D), U: scaled(e.U), Epsilon: scaled(e.Epsilon)}
+	t.waits = core.Config{Params: p, X: t.x}.Waits()
+	return true
 }
 
 // Waits returns the currently installed waits.
-func (t *Tuner) Waits() Waits {
+func (t *Tuner) Waits() core.Waits {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.waits
@@ -270,11 +242,4 @@ func (t *Tuner) Snapshot() (cur, peak Estimate, retunes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.cur, t.peak, t.retunes
-}
-
-func maxTime(a, b model.Time) model.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,5 +1,6 @@
 // Package live runs Algorithm 1 (Wang 2011, Chapter V) as a wall-clock
-// cluster: one goroutine-backed replica per process, exchanging
+// cluster: one core.Replica per process — the implementation the
+// simulator runs — driven through a wall-clock sim.Env, exchanging
 // timestamped messages over a pluggable Transport (in-process channels,
 // or TCP over localhost), and recording a history.History with real
 // instants so the Wing–Gong island checker verifies the run post hoc.
@@ -8,12 +9,13 @@
 // inputs, the live runtime must discover them: every message carries its
 // sender's send-time clock, receivers feed the observed one-way delays
 // into a windowed Estimator, and a Tuner turns each padded (d̂, û, ε̂)
-// snapshot into Algorithm 1's four waits, retuned periodically while the
-// cluster runs. Tuning at or above the estimated envelope preserves the
-// Chapter V guarantees against the delays actually realized; deliberately
-// scaling the waits below it (Tuner scale < 1) reproduces the premature-
-// tuning dichotomy of the lower-bound experiments — a linearizability
-// violation, replica divergence, or latency at the bound.
+// snapshot into Algorithm 1's four waits (core.Config.Waits), installed
+// into the replicas and retuned periodically while the cluster runs.
+// Tuning at or above the estimated envelope preserves the Chapter V
+// guarantees against the delays actually realized; deliberately scaling
+// the waits below it (Tuner scale < 1) reproduces the premature-tuning
+// dichotomy of the lower-bound experiments — a linearizability violation,
+// replica divergence, or latency at the bound.
 //
 // This package is intentionally wall-clock (time.Now via a monotonic
 // epoch, time.AfterFunc timers) and is therefore exempt from the tbvet
@@ -27,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"timebounds/internal/core"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
@@ -113,6 +116,15 @@ func (c Config) validate() error {
 	}
 	if c.ClockOffsets != nil && len(c.ClockOffsets) != c.N {
 		return fmt.Errorf("live: %d clock offsets for %d replicas", len(c.ClockOffsets), c.N)
+	}
+	return nil
+}
+
+func validateInvocations(n int, invs []Invocation) error {
+	for _, inv := range invs {
+		if int(inv.Proc) < 0 || int(inv.Proc) >= n {
+			return fmt.Errorf("live: invocation for unknown process %d", int(inv.Proc))
+		}
 	}
 	return nil
 }
@@ -205,6 +217,9 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 	if err := cfg.validate(); err != nil {
 		return RunResult{}, err
 	}
+	if err := validateInvocations(cfg.N, invs); err != nil {
+		return RunResult{}, err
+	}
 	cfg = cfg.withDefaults()
 
 	eps, err := cfg.Transport.Open(cfg.N)
@@ -223,50 +238,59 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 	tun := NewTuner(cfg.X, scale)
 	tun.Apply(est.Snapshot()) // install the prior
 
-	replicas := make([]*replica, cfg.N)
-	for i := range replicas {
+	// One core.Replica per process, each behind its wall-clock Env.
+	envs := make([]*env, cfg.N)
+	for i := range envs {
 		off := model.Time(0)
 		if cfg.ClockOffsets != nil {
 			off = cfg.ClockOffsets[i]
 		}
-		clock := func(off model.Time) func() model.Time {
-			return func() model.Time { return now() + off }
-		}(off)
-		replicas[i] = newReplica(model.ProcessID(i), cfg.N, cfg.X, cfg.DataType,
-			eps[i], tun, est, rec, clock)
+		r := core.NewReplica(core.Config{X: cfg.X}, cfg.DataType)
+		r.SetWaits(tun.Waits())
+		envs[i] = newEnv(model.ProcessID(i), cfg.N, r, eps[i], est, rec,
+			func() model.Time { return now() + off })
+		envs[i].start()
 	}
-	for _, r := range replicas {
-		r.start()
+	// retune installs a changed envelope's waits into every replica.
+	retune := func() {
+		if tun.Apply(est.Snapshot()) {
+			for _, e := range envs {
+				e.setWaits(tun.Waits())
+			}
+		}
 	}
 
 	// Warm-up: probe rounds until the estimator leaves its prior, then
 	// install the first observed envelope before any load.
 	for k := 0; k < cfg.WarmupProbes; k++ {
-		for _, r := range replicas {
-			r.probe()
+		for _, e := range envs {
+			e.probe()
 		}
 		time.Sleep(time.Duration(cfg.ProbeSpacing))
 	}
 	warmupDeadline := time.Now().Add(time.Duration(cfg.Drain))
 	for cfg.N > 1 && est.Snapshot().FromPrior && time.Now().Before(warmupDeadline) {
-		for _, r := range replicas {
-			r.probe()
+		for _, e := range envs {
+			e.probe()
 		}
 		time.Sleep(time.Duration(cfg.ProbeSpacing))
 	}
-	tun.Apply(est.Snapshot())
+	retune()
 	warmup := now()
 
 	// Retuner: periodically re-snapshot the estimator while load runs.
 	stopRetune := make(chan struct{})
+	var retuner sync.WaitGroup
 	if cfg.RetuneEvery > 0 {
+		retuner.Add(1)
 		go func() {
+			defer retuner.Done()
 			t := time.NewTicker(time.Duration(cfg.RetuneEvery))
 			defer t.Stop()
 			for {
 				select {
 				case <-t.C:
-					tun.Apply(est.Snapshot())
+					retune()
 				case <-stopRetune:
 					return
 				}
@@ -282,13 +306,9 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 	}
 	var wg sync.WaitGroup
 	for proc, seq := range byProc {
-		if int(proc) < 0 || int(proc) >= cfg.N {
-			close(stopRetune)
-			return RunResult{}, fmt.Errorf("live: invocation for unknown process %d", int(proc))
-		}
 		sort.SliceStable(seq, func(i, j int) bool { return seq[i].At < seq[j].At })
 		wg.Add(1)
-		go func(r *replica, seq []Invocation) {
+		go func(r *env, seq []Invocation) {
 			defer wg.Done()
 			var prev <-chan struct{}
 			for _, inv := range seq {
@@ -307,20 +327,21 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 				r.invoke(id, inv.Kind, inv.Arg)
 				prev = ch
 			}
-		}(replicas[proc], seq)
+		}(envs[proc], seq)
 	}
 	wg.Wait()
 
-	// Drain: wait for every response, then for replica quiescence (all
-	// queues empty, no armed timers) so the convergence check reads
-	// settled states.
+	// Drain: wait for every response, then for replica quiescence (no
+	// armed timers) so the convergence check reads settled states.
 	deadline := time.Now().Add(time.Duration(cfg.Drain))
 	for !rec.complete() && time.Now().Before(deadline) {
 		time.Sleep(500 * time.Microsecond)
 	}
+	// All replicas must be idle in the same pass: one passed earlier can
+	// still receive an entry whose write has already answered.
 	settled := func() bool {
-		for _, r := range replicas {
-			if !r.idle() {
+		for _, e := range envs {
+			if !e.idle() {
 				return false
 			}
 		}
@@ -330,18 +351,19 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 		time.Sleep(500 * time.Microsecond)
 	}
 	close(stopRetune)
+	retuner.Wait()
 
 	cur, peak, retunes := tun.Snapshot()
 	states := make([]string, cfg.N)
-	for i, r := range replicas {
-		r.stop()
-		states[i] = r.stateEncoding()
+	for i, e := range envs {
+		e.stop()
+		states[i] = e.stateEncoding()
 	}
 	for _, ep := range eps {
 		_ = ep.Close()
 	}
-	for _, r := range replicas {
-		<-r.done
+	for _, e := range envs {
+		<-e.done
 	}
 
 	rec.mu.Lock()

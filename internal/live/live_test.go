@@ -183,3 +183,36 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunConvergesAfterSlowDelivery: a pure-mutator write answers ε̂+X
+// after its invocation, which can be before its broadcast reaches a slow
+// link. Run must still read the replicas' states only after every one of
+// them has executed the write, including the replica on the slow link.
+func TestRunConvergesAfterSlowDelivery(t *testing.T) {
+	lo, hi := model.Time(time.Millisecond), model.Time(6*time.Millisecond)
+	dt := types.NewRMWRegister(0)
+	cfg := Config{
+		N:        3,
+		DataType: dt,
+		Transport: &ChanTransport{Delay: func(_, to model.ProcessID, _ int) model.Time {
+			if to == 0 {
+				return hi
+			}
+			return lo
+		}},
+		// With no relative margin, d̂ − û tracks the fast links and ε̂ stays
+		// below hi: the write answers before replica 0 receives it, and
+		// replica 0 executes it well after the invoker executes its own.
+		Estimator: EstimatorConfig{Window: 128, MinSamples: 6, Margin: -1},
+	}
+	rr, err := Run(cfg, []Invocation{{Proc: 2, Kind: types.OpWrite, Arg: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Pending != 0 {
+		t.Fatalf("%d operations never responded", rr.Pending)
+	}
+	if rr.Diverged() {
+		t.Fatalf("replicas diverged (estimate %s): %v", rr.Estimate, rr.States)
+	}
+}

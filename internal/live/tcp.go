@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
-	"sync"
 
 	"timebounds/internal/model"
 )
@@ -64,7 +63,7 @@ func (t *TCPTransport) Open(n int) ([]Endpoint, error) {
 	tcpEps := make([]*tcpEndpoint, n)
 	eps := make([]Endpoint, n)
 	for i := 0; i < n; i++ {
-		e := &tcpEndpoint{ln: listeners[i], box: newInbox(), conns: make([]*tcpConn, n)}
+		e := &tcpEndpoint{ln: listeners[i], box: newInbox(), conns: make([]*inbox, n)}
 		tcpEps[i] = e
 		eps[i] = e
 		go e.acceptLoop()
@@ -81,7 +80,7 @@ func (t *TCPTransport) Open(n int) ([]Endpoint, error) {
 				}
 				return nil, fmt.Errorf("live: tcp dial %s: %w", addrs[j], err)
 			}
-			tcpEps[i].conns[j] = newTCPConn(c)
+			tcpEps[i].conns[j] = newWriter(c)
 		}
 	}
 	return eps, nil
@@ -90,7 +89,7 @@ func (t *TCPTransport) Open(n int) ([]Endpoint, error) {
 type tcpEndpoint struct {
 	ln    net.Listener
 	box   *inbox
-	conns []*tcpConn // outbound, indexed by destination; nil at self
+	conns []*inbox // outbound, indexed by destination; nil at self
 }
 
 func (e *tcpEndpoint) acceptLoop() {
@@ -134,62 +133,22 @@ func (e *tcpEndpoint) Close() error {
 	return err
 }
 
-// tcpConn is one outbound connection: an unbounded queue drained by a
-// writer goroutine that gob-encodes onto the socket, so replicas sending
-// under their own lock never block on the kernel's send buffer.
-type tcpConn struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []Message
-	closed bool
-	c      net.Conn
-}
-
-func newTCPConn(c net.Conn) *tcpConn {
-	tc := &tcpConn{c: c}
-	tc.cond = sync.NewCond(&tc.mu)
-	go tc.writeLoop()
-	return tc
-}
-
-func (tc *tcpConn) push(m Message) {
-	tc.mu.Lock()
-	if !tc.closed {
-		tc.q = append(tc.q, m)
-		tc.cond.Signal()
-	}
-	tc.mu.Unlock()
-}
-
-func (tc *tcpConn) close() {
-	tc.mu.Lock()
-	tc.closed = true
-	tc.cond.Signal()
-	tc.mu.Unlock()
-}
-
-func (tc *tcpConn) writeLoop() {
-	enc := gob.NewEncoder(tc.c)
-	for {
-		tc.mu.Lock()
-		for len(tc.q) == 0 && !tc.closed {
-			tc.cond.Wait()
+// newWriter returns the send queue of one outbound connection: an inbox,
+// so replicas sending under their own lock never block on the kernel's
+// send buffer, drained by a goroutine that gob-encodes onto the socket.
+// After a write error it keeps draining, dropping, so the pump never
+// blocks; it closes the socket once the queue is closed and empty.
+func newWriter(c net.Conn) *inbox {
+	box := newInbox()
+	go func() {
+		enc := gob.NewEncoder(c)
+		var err error
+		for m := range box.out {
+			if err == nil {
+				err = enc.Encode(&m)
+			}
 		}
-		if len(tc.q) == 0 && tc.closed {
-			tc.mu.Unlock()
-			_ = tc.c.Close()
-			return
-		}
-		m := tc.q[0]
-		tc.q = tc.q[1:]
-		tc.mu.Unlock()
-		if err := enc.Encode(&m); err != nil {
-			_ = tc.c.Close()
-			tc.mu.Lock()
-			tc.closed = true
-			tc.q = nil
-			tc.mu.Unlock()
-			return
-		}
-	}
+		_ = c.Close()
+	}()
+	return box
 }

@@ -441,30 +441,6 @@ func (s *Simulator) Run(horizon model.Time) error {
 	return s.err
 }
 
-// runUnbatched is the reference event loop: one heap pop, one dispatch.
-// It is semantically identical to Run and exists so the equivalence tests
-// can assert that batched dispatch is unobservable (bit-identical
-// histories and traces).
-func (s *Simulator) runUnbatched(horizon model.Time) error {
-	for len(s.queue) > 0 {
-		t := s.queue[0].at
-		if t > horizon {
-			return s.err
-		}
-		if t < s.now {
-			return s.timeRegression(t)
-		}
-		s.now = t
-		ref := s.pop()
-		s.dispatch(ref)
-		s.release(ref)
-		if s.err != nil {
-			return s.err
-		}
-	}
-	return s.err
-}
-
 // timeRegression builds the monotonicity-violation error. It lives
 // outside the event loop so the //tb:hotpath functions stay free of fmt.
 func (s *Simulator) timeRegression(t model.Time) error {
